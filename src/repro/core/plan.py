@@ -135,13 +135,6 @@ class ConsolidationPlan:
     def is_empty(self) -> bool:
         return not self.vacations and not self.compactions
 
-    @property
-    def migration_count(self) -> int:
-        return sum(
-            len(plan.migrations)
-            for plan in list(self.vacations) + list(self.compactions)
-        )
-
 
 @dataclass(frozen=True)
 class ExchangePlan:

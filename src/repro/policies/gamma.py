@@ -22,6 +22,10 @@ The module has three layers:
   farm-facing planner that mirrors the greedy vacate/compaction
   structure of :class:`~repro.core.placement.GreedyVacatePlanner` but
   places with a Γ-aware first-fit over the same shadow-capacity index.
+  It keeps only a top-Γ summary of each host's spike rooms (the Γ
+  largest, descending, restored LIFO on rollback), so a fit check costs
+  O(Γ) rather than O(residents) and sums exactly the floats, in exactly
+  the order, that the core's ``sum(nlargest(Γ, ...))`` would.
 
 Determinism contract (the ``gamma.intervals`` stream family): VM
 ``v``'s spike fraction is the single ``random()`` draw of a
@@ -445,6 +449,43 @@ class DemandIntervalModel:
         return result
 
 
+def _with_spike(
+    top: Tuple[float, ...], spike: float, gamma: int
+) -> Tuple[float, ...]:
+    """A host's top-Γ summary after ``spike`` joins it.
+
+    ``top`` holds the ``gamma`` largest spike rooms committed to a host,
+    descending, duplicates and zeros kept.  The ``gamma`` largest of a
+    multiset with one value added are always among its old ``gamma``
+    largest plus that value, so the result equals ``tuple(nlargest(
+    gamma, spikes + [spike]))`` over the full list ``spikes`` — the same
+    values in the same order — at O(Γ) cost instead of O(len(spikes)).
+    """
+    for rank, value in enumerate(top):
+        if spike > value:
+            return top[:rank] + (spike,) + top[rank:gamma - 1]
+    if len(top) < gamma:
+        return top + (spike,)
+    return top
+
+
+#: One trial placement's undo record: destination host id, its shadow
+#: position, the size placed there and the summary it replaced.
+_Placed = Tuple[int, int, float, Tuple[float, ...]]
+
+
+def _rollback(
+    placed: List[_Placed],
+    shadow: _ShadowCapacity,
+    tops: List[Tuple[float, ...]],
+) -> None:
+    """Undo trial placements newest-first: return each one's memory to
+    its destination and restore the summary it replaced."""
+    for destination, position, size, previous in reversed(placed):
+        shadow.unplace(destination, size)
+        tops[position] = previous
+
+
 class GammaRobustPlanner:
     """Γ-aware first-fit vacate/compaction planner.
 
@@ -456,6 +497,28 @@ class GammaRobustPlanner:
     first-fit — powered (or already-woken) consolidation hosts before
     sleeping ones, ascending host id within each tier — so the planner
     consumes no randomness at all.
+
+    The robust state of each consolidation host is a *top-Γ summary*:
+    the descending tuple of the Γ largest spike rooms committed to it
+    (resident partial VMs' remaining room plus the deviation of every
+    VM this pass has planned onto it).  The Bertsimas-Sim test needs
+    nothing more, so one fit check costs O(Γ), not O(residents):
+
+    * reject when the nominal size alone does not fit
+      (``free + eps < size + reserve``).  This is exact: float addition
+      is monotone and the robust excess is never negative;
+    * otherwise merge the VM's deviation into the summary
+      (:func:`_with_spike`) and admit iff ``free + eps >= size +
+      sum(merged) + reserve``.  ``merged`` holds the same values in the
+      same descending order as ``nlargest(Γ, spikes + [deviation])``
+      over the host's full spike list, so the float sum — and with it
+      every decision and every plan — is bit-identical to the
+      list-based check.
+
+    An admitted placement stores ``merged`` as the host's summary and
+    logs the summary it replaced.  Rollback is always LIFO (a vacation
+    or compaction undoes only its own placements, newest first), so
+    restoring those snapshots in reverse recomputes nothing.
     """
 
     def __init__(
@@ -482,68 +545,57 @@ class GammaRobustPlanner:
         self, cluster: Cluster, compact_consolidation: bool = True
     ) -> ConsolidationPlan:
         shadow = _ShadowCapacity(cluster)
-        spikes = self._spike_state(cluster, shadow)
+        tops, resident_spikes = self._spike_state(cluster)
         vacations: List[HostVacatePlan] = []
         for host in self._vacate_queue(cluster):
-            migrations = self._try_vacate(host, shadow, spikes)
+            migrations = self._try_vacate(host, shadow, tops)
             if migrations is not None:
                 vacations.append(HostVacatePlan(host.host_id, migrations))
         compactions: List[HostVacatePlan] = []
         if compact_consolidation:
-            compactions = self._plan_compaction(cluster, shadow, spikes)
+            compactions = self._plan_compaction(
+                cluster, shadow, tops, resident_spikes
+            )
         return ConsolidationPlan(
             vacations=vacations,
             hosts_to_wake=set(shadow.woken),
             compactions=compactions,
         )
 
-    # -- robust feasibility ---------------------------------------------
-
-    def _resident_spike(self, vm: VirtualMachine) -> float:
-        """Spike room a resident VM may still claim on its host: its
-        interval maximum (capped at full memory) minus what it already
-        holds.  Full VMs hold everything and can never spike further."""
-        if vm.residency is not Residency.PARTIAL:
-            return 0.0
-        nominal, deviation = self.intervals.interval(vm)
-        worst = nominal + deviation
-        memory = vm.memory_mib
-        if worst > memory:
-            worst = memory
-        spike = worst - vm.resident_mib
-        return spike if spike > 0.0 else 0.0
+    # -- robust state ---------------------------------------------------
 
     def _spike_state(
-        self, cluster: Cluster, shadow: _ShadowCapacity
-    ) -> List[List[float]]:
-        """Per shadow position: committed spike rooms of resident VMs."""
-        spikes: List[List[float]] = [[] for _ in shadow.ids]
-        for host in cluster.consolidation_hosts:
-            position = shadow.index[host.host_id]
-            for vm in host.vms():
-                spike = self._resident_spike(vm)
-                if spike > 0.0:
-                    spikes[position].append(spike)
-        return spikes
+        self, cluster: Cluster
+    ) -> Tuple[List[Tuple[float, ...]], Dict[int, float]]:
+        """Per shadow position, the top-Γ summary of resident spike
+        rooms; and each resident's positive room by VM id (compaction
+        carries it along when it moves the VM).
 
-    def _robust_fits(
-        self,
-        position: int,
-        size: float,
-        deviation: float,
-        shadow: _ShadowCapacity,
-        spikes: List[List[float]],
-        reserve: float = 0.0,
-    ) -> bool:
-        """Would placing ``(size, deviation)`` keep the host Γ-robust
-        (and ``reserve`` MiB free on top of the worst case)?"""
-        free = shadow.free[position]
-        if self.gamma == 0:
-            return free + _EPS >= size + reserve
-        excess = sum(nlargest(
-            self.gamma, spikes[position] + [deviation]
-        ))
-        return free + _EPS >= size + excess + reserve
+        A resident's spike room is its interval maximum (capped at full
+        memory) minus what it already holds.  Full VMs hold everything
+        and can never spike further.
+        """
+        gamma = self.gamma
+        interval = self.intervals.interval
+        partial = Residency.PARTIAL
+        tops: List[Tuple[float, ...]] = []
+        resident_spikes: Dict[int, float] = {}
+        for host in cluster.consolidation_hosts:
+            spikes: List[float] = []
+            for vm in host._vms.values():
+                if vm.residency is not partial:
+                    continue
+                nominal, deviation = interval(vm)
+                worst = nominal + deviation
+                memory = vm.memory_mib
+                if worst > memory:
+                    worst = memory
+                spike = worst - vm.resident_mib
+                if spike > 0.0:
+                    spikes.append(spike)
+                    resident_spikes[vm.vm_id] = spike
+            tops.append(tuple(nlargest(gamma, spikes)))
+        return tops, resident_spikes
 
     # -- vacations ------------------------------------------------------
 
@@ -572,73 +624,74 @@ class GammaRobustPlanner:
         self,
         host: Host,
         shadow: _ShadowCapacity,
-        spikes: List[List[float]],
+        tops: List[Tuple[float, ...]],
     ) -> Optional[List[PlannedMigration]]:
-        """Plan all of one host's VMs, or None if any cannot move."""
+        """Plan all of one host's VMs, or None if any cannot move.
+
+        The planner's innermost loop, fused like the greedy planner's:
+        the first-fit scan and the robust fit check (see the class
+        docstring) run inline over hoisted locals.
+        """
+        gamma = self.gamma
+        interval = self.intervals.interval
+        min_idle = self.min_idle_intervals
+        full_migrate_active = self.policy.full_migrate_active
+        ids = shadow.ids
+        free = shadow.free
+        effective = shadow.effective
+        positions = range(len(ids))
+        source_id = host.host_id
+        active = VmActivity.ACTIVE
         migrations: List[PlannedMigration] = []
-        placed: List[Tuple[int, int, float]] = []
-        for vm in host.vms():
-            if vm.activity is VmActivity.ACTIVE:
-                if not self.policy.full_migrate_active:
-                    self._rollback(placed, shadow, spikes)
+        placed: List[_Placed] = []
+        for vm in host._vms.values():
+            if vm.activity is active:
+                if not full_migrate_active:
+                    _rollback(placed, shadow, tops)
                     return None
                 size = vm.memory_mib
                 deviation = 0.0
                 working_set = None
                 mode = MigrationMode.FULL
             else:
-                if vm.idle_intervals < self.min_idle_intervals:
-                    self._rollback(placed, shadow, spikes)
+                if vm.idle_intervals < min_idle:
+                    _rollback(placed, shadow, tops)
                     return None
-                nominal, deviation = self.intervals.interval(vm)
-                size = nominal
-                working_set = nominal
+                size, deviation = interval(vm)
+                working_set = size
                 mode = MigrationMode.PARTIAL
-            destination = self._first_fit(size, deviation, shadow, spikes)
-            if destination is None:
-                self._rollback(placed, shadow, spikes)
+            target = -1
+            for tier in (True, False):  # powered or woken, then sleeping
+                for position in positions:
+                    if effective[position] != tier:
+                        continue
+                    room = free[position] + _EPS
+                    if room < size:
+                        continue
+                    if gamma:
+                        top = _with_spike(tops[position], deviation, gamma)
+                        if room < size + sum(top):
+                            continue
+                    target = position
+                    break
+                if target >= 0:
+                    break
+            if target < 0:
+                _rollback(placed, shadow, tops)
                 return None
-            position = shadow.index[destination]
+            destination = ids[target]
+            placed.append((destination, target, size, tops[target]))
+            if gamma:
+                tops[target] = top
             shadow.place(destination, size)
-            spikes[position].append(deviation)
-            placed.append((destination, position, size))
             migrations.append(PlannedMigration(
                 vm_id=vm.vm_id,
-                source_id=host.host_id,
+                source_id=source_id,
                 destination_id=destination,
                 mode=mode,
                 working_set_mib=working_set,
             ))
         return migrations
-
-    def _first_fit(
-        self,
-        size: float,
-        deviation: float,
-        shadow: _ShadowCapacity,
-        spikes: List[List[float]],
-    ) -> Optional[int]:
-        """First robust-feasible destination: powered/woken hosts first,
-        then sleeping ones; ascending host id within each tier."""
-        effective = shadow.effective
-        for tier in (True, False):
-            for position, host_id in enumerate(shadow.ids):
-                if effective[position] != tier:
-                    continue
-                if self._robust_fits(position, size, deviation, shadow,
-                                     spikes):
-                    return host_id
-        return None
-
-    def _rollback(
-        self,
-        placed: List[Tuple[int, int, float]],
-        shadow: _ShadowCapacity,
-        spikes: List[List[float]],
-    ) -> None:
-        for destination, position, size in reversed(placed):
-            shadow.unplace(destination, size)
-            spikes[position].pop()
 
     # -- compaction -----------------------------------------------------
 
@@ -646,10 +699,16 @@ class GammaRobustPlanner:
         self,
         cluster: Cluster,
         shadow: _ShadowCapacity,
-        spikes: List[List[float]],
+        tops: List[Tuple[float, ...]],
+        resident_spikes: Dict[int, float],
     ) -> List[HostVacatePlan]:
         """Empty lightly-loaded powered consolidation hosts into peers
-        that stay Γ-robust (same low-water/headroom levers as greedy)."""
+        that stay Γ-robust (same low-water/headroom levers as greedy).
+
+        Destinations are originally-powered peers not being emptied
+        themselves, first fit by ascending host id, and each keeps the
+        compaction headroom free on top of its worst case.
+        """
         low_water = GreedyVacatePlanner.COMPACTION_LOW_WATER
         candidates = sorted(
             (
@@ -661,73 +720,66 @@ class GammaRobustPlanner:
             ),
             key=lambda host: host.used_mib,
         )
+        gamma = self.gamma
+        headroom = GreedyVacatePlanner.COMPACTION_HEADROOM
+        reserves = [headroom * capacity for capacity in shadow.capacity]
+        ids = shadow.ids
+        free = shadow.free
+        powered = shadow.powered
+        woken = shadow.woken
+        positions = range(len(ids))
         compactions: List[HostVacatePlan] = []
         emptied: set = set()
         for host in candidates:
+            source_id = host.host_id
             migrations: List[PlannedMigration] = []
-            placed: List[Tuple[int, int, float]] = []
+            placed: List[_Placed] = []
             feasible = True
-            for vm in host.vms():
+            for vm in host._vms.values():
                 size = vm.resident_mib
-                deviation = self._resident_spike(vm)
-                destination = self._first_fit_compact(
-                    size, deviation, shadow, spikes, host.host_id, emptied
-                )
-                if destination is None:
+                deviation = resident_spikes.get(vm.vm_id, 0.0)
+                target = -1
+                for position in positions:
+                    host_id = ids[position]
+                    if host_id == source_id or host_id in emptied:
+                        continue
+                    if not powered[position] or host_id in woken:
+                        continue
+                    room = free[position] + _EPS
+                    reserve = reserves[position]
+                    if room < size + reserve:
+                        continue
+                    if gamma:
+                        top = _with_spike(tops[position], deviation, gamma)
+                        if room < size + sum(top) + reserve:
+                            continue
+                    target = position
+                    break
+                if target < 0:
                     feasible = False
                     break
-                position = shadow.index[destination]
+                destination = ids[target]
+                placed.append((destination, target, size, tops[target]))
+                if gamma:
+                    tops[target] = top
                 shadow.place(destination, size)
-                spikes[position].append(deviation)
-                placed.append((destination, position, size))
-                mode = (
-                    MigrationMode.PARTIAL
-                    if vm.residency is Residency.PARTIAL
-                    else MigrationMode.FULL
-                )
+                partial = vm.residency is Residency.PARTIAL
                 migrations.append(PlannedMigration(
                     vm_id=vm.vm_id,
-                    source_id=host.host_id,
+                    source_id=source_id,
                     destination_id=destination,
-                    mode=mode,
-                    working_set_mib=(
-                        vm.working_set_mib
-                        if mode is MigrationMode.PARTIAL
-                        else None
+                    mode=(
+                        MigrationMode.PARTIAL if partial
+                        else MigrationMode.FULL
                     ),
+                    working_set_mib=vm.working_set_mib if partial else None,
                 ))
             if feasible and migrations:
-                compactions.append(HostVacatePlan(host.host_id, migrations))
-                emptied.add(host.host_id)
+                compactions.append(HostVacatePlan(source_id, migrations))
+                emptied.add(source_id)
             else:
-                self._rollback(placed, shadow, spikes)
+                _rollback(placed, shadow, tops)
         return compactions
-
-    def _first_fit_compact(
-        self,
-        size: float,
-        deviation: float,
-        shadow: _ShadowCapacity,
-        spikes: List[List[float]],
-        source_id: int,
-        emptied: set,
-    ) -> Optional[int]:
-        """First robust destination among originally-powered peers that
-        are not being emptied themselves, keeping compaction headroom."""
-        reserve_fraction = GreedyVacatePlanner.COMPACTION_HEADROOM
-        powered = shadow.powered
-        capacity = shadow.capacity
-        woken = shadow.woken
-        for position, host_id in enumerate(shadow.ids):
-            if host_id == source_id or host_id in emptied:
-                continue
-            if not powered[position] or host_id in woken:
-                continue
-            reserve = reserve_fraction * capacity[position]
-            if self._robust_fits(position, size, deviation, shadow, spikes,
-                                 reserve=reserve):
-                return host_id
-        return None
 
 
 # ----------------------------------------------------------------------
