@@ -62,7 +62,6 @@ from repro.obs.events import CAT_FARM, CAT_FAULT, CAT_MIGRATION, CAT_POWER
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulator.engine import Simulator
 from repro.simulator.randomness import RngStreams
-from repro.traces.edges import ActivityEdgeSchedule
 from repro.traces.model import DayType
 from repro.traces.sampler import TraceEnsemble, generate_ensemble
 from repro.units import (
@@ -211,7 +210,8 @@ class FarmSimulation:
         self._suspend_pending: Set[int] = set()
         # The ensemble compiled to activity flips: the interval handler
         # touches only VMs whose activity changes (O(edges), not O(V)).
-        self._edge_schedule = ActivityEdgeSchedule.compile(ensemble)
+        # Compiled on the ensemble's first simulation, shared by the rest.
+        self._edge_schedule = ensemble.edges
         self._active_count = 0
         #: origin_home_id -> ids of VMs that are FULL away from their
         #: origin home (the _return_full_vms_home candidates), plus the

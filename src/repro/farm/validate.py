@@ -6,14 +6,22 @@ configuration.  :func:`validate_simulation` checks them all and raises
 :class:`~repro.errors.SimulationError` with a precise message on the
 first violation — used throughout the test suite (including the
 property-based fuzzers) and available to users running custom
-configurations.
+configurations.  :func:`validate_zoned_result` checks the aggregation
+of a sharded day; :class:`~repro.farm.zones.GlobalController` runs it
+after every zoned run.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import SimulationError
 from repro.farm.simulation import FarmSimulation
 from repro.units import INTERVALS_PER_DAY, SECONDS_PER_DAY
+
+if TYPE_CHECKING:
+    from repro.farm.metrics import FarmResult
+    from repro.farm.zones import ZonedFarmResult
 
 _HOST_STATES = ("powered", "sleeping", "suspending", "resuming")
 
@@ -122,3 +130,66 @@ def _check_metrics(simulation: FarmSimulation) -> None:
         not 0 <= count <= host_count for count in result.powered_hosts
     ):
         raise SimulationError("powered-host sample outside [0, hosts]")
+
+
+_SERIES = (
+    "sample_times_s",
+    "active_vms",
+    "powered_hosts",
+    "powered_home_hosts",
+    "powered_consolidation_hosts",
+)
+
+
+def validate_zoned_result(zoned: "ZonedFarmResult") -> None:
+    """Check a zoned day's aggregate against its shards; raise on the
+    first violation.
+
+    The aggregate holds every shard's delay samples, in zone order, with
+    ids remapped into the shard's zone; its managed energy is exactly
+    the sum of the zones'; and every per-interval series, in the
+    aggregate and in each shard, has one sample per interval.
+    """
+    aggregate = zoned.aggregate
+    partition = zoned.partition
+    shards = [
+        (zone, outcome.result)
+        for zone, outcome in enumerate(zoned.zone_outcomes)
+        if outcome is not None
+    ]
+    expected = sum(len(result.delays) for _zone, result in shards)
+    if len(aggregate.delays) != expected:
+        raise SimulationError(
+            f"aggregate has {len(aggregate.delays)} delay samples; the "
+            f"shards recorded {expected}"
+        )
+    start = 0
+    for zone, result in shards:
+        stop = start + len(result.delays)
+        zone_vms = set(partition.zone_vm_ids(zone))
+        for sample in aggregate.delays[start:stop]:
+            if sample.vm_id not in zone_vms:
+                raise SimulationError(
+                    f"delay sample for VM {sample.vm_id} is attributed to "
+                    f"zone {zone}, which does not own it"
+                )
+        start = stop
+    parts = zoned.zone_managed_joules()
+    if sum(parts) != aggregate.energy.managed_joules:
+        raise SimulationError(
+            f"zone managed energies sum to {sum(parts)!r} J; the aggregate "
+            f"is {aggregate.energy.managed_joules!r} J"
+        )
+    _check_series("aggregate", aggregate)
+    for zone, result in shards:
+        _check_series(f"zone {zone}", result)
+
+
+def _check_series(where: str, result: "FarmResult") -> None:
+    for name in _SERIES:
+        count = len(getattr(result, name))
+        if count != INTERVALS_PER_DAY:
+            raise SimulationError(
+                f"{where}: {name} has {count} samples, expected "
+                f"{INTERVALS_PER_DAY}"
+            )

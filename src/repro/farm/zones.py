@@ -26,12 +26,14 @@ Determinism contract
   to the unsharded simulator (``tests/test_farm_zones.py`` pins this
   differentially, and the CLI goldens pin the printed output).
 
-Aggregation invariants (all test-pinned): every VM lands in exactly one
-zone; per-zone managed/baseline energies sum *exactly* (same floats,
-same order) to the aggregate :class:`~repro.energy.report.EnergyReport`;
-migration/fault counters and the traffic ledger are field-wise sums;
-the per-interval time series are element-wise sums over shards that
-share the same 288 sampling instants.
+Aggregation invariants (all test-pinned, and the cheap ones checked by
+:func:`~repro.farm.validate.validate_zoned_result` after every run):
+every VM lands in exactly one zone; per-zone managed/baseline energies
+sum *exactly* (same floats, same order) to the aggregate
+:class:`~repro.energy.report.EnergyReport`; migration/fault counters
+and the traffic ledger are field-wise sums; the per-interval time
+series are element-wise sums over shards that share the same 288
+sampling instants.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.farm.config import FarmConfig
 from repro.farm.metrics import DelaySample, FarmResult, MigrationCounters
 from repro.farm.runner import RunOutcome, RunSpec, SweepRunner
+from repro.farm.validate import validate_zoned_result
 from repro.faults.model import FaultCounters
 from repro.migration.traffic import TrafficLedger
 from repro.obs.events import CAT_ZONE
@@ -367,15 +370,12 @@ def _aggregate_results(
     traffic = TrafficLedger()
     for result in results:
         traffic.merge(result.traffic)
+    # Shard-local VM ids index the zone's global-id table.
     delays = [
-        DelaySample(
-            time_s=sample.time_s,
-            vm_id=partition.global_vm_id(zone, sample.vm_id),
-            delay_s=sample.delay_s,
-            action=sample.action,
-        )
+        DelaySample(time_s, vm_ids[vm_id], delay_s, action)
         for zone, result in ordered
-        for sample in result.delays
+        for vm_ids in (partition.zone_vm_ids(zone),)
+        for time_s, vm_id, delay_s, action in result.delays
     ]
     home_sleep_s: Dict[int, float] = {}
     for zone, result in ordered:
@@ -590,7 +590,7 @@ class GlobalController:
                 savings_fraction=aggregate.savings_fraction,
                 managed_joules=aggregate.energy.managed_joules,
             )
-        return ZonedFarmResult(
+        zoned = ZonedFarmResult(
             partition=partition,
             aggregate=aggregate,
             zone_outcomes=tuple(
@@ -599,6 +599,8 @@ class GlobalController:
             budgets=budgets,
             budget_w=self.budget_w,
         )
+        validate_zoned_result(zoned)
+        return zoned
 
 
 def simulate_zoned_day(

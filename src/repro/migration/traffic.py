@@ -121,6 +121,11 @@ class TrafficLedger:
             self._mib[index] += other._mib[index]
             self._events[index] += other._events[index]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrafficLedger):
+            return NotImplemented
+        return self._mib == other._mib and self._events == other._events
+
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{category.value}={self._mib[category.ledger_index]:.0f}"

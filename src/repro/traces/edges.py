@@ -15,6 +15,10 @@ order the eager per-VM scan visited newly-flipped VMs — so activation
 jitter draws and delay-sample appends replay in the historical order.
 Every trace implicitly starts idle (interval ``-1`` is inactive), which
 matches the simulation's initial VM state.
+
+A schedule is immutable (tuples all the way down), so one compile can
+serve every simulation of an ensemble: :attr:`TraceEnsemble.edges
+<repro.traces.sampler.TraceEnsemble.edges>` caches it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from repro.units import INTERVALS_PER_DAY
 
 __all__ = ["ActivityEdgeSchedule"]
 
+#: The ``(interval, True)`` / ``(interval, False)`` pairs every VM shares.
+_RISES = tuple((index, True) for index in range(INTERVALS_PER_DAY))
+_FALLS = tuple((index, False) for index in range(INTERVALS_PER_DAY))
+
 
 class ActivityEdgeSchedule:
     """Compiled activity transitions for one aligned trace ensemble."""
@@ -35,8 +43,8 @@ class ActivityEdgeSchedule:
     def __init__(
         self,
         vm_count: int,
-        by_interval: List[List[Tuple[int, bool]]],
-        by_vm: List[Tuple[Tuple[int, bool], ...]],
+        by_interval: Tuple[Tuple[Tuple[int, bool], ...], ...],
+        by_vm: Tuple[Tuple[Tuple[int, bool], ...], ...],
     ) -> None:
         #: Number of VMs (traces) the schedule was compiled from.
         self.vm_count = vm_count
@@ -55,24 +63,33 @@ class ActivityEdgeSchedule:
 
         The ``vm_id`` of each trace is its position in the iterable —
         the same convention :class:`repro.farm.FarmSimulation` uses to
-        pair traces with VMs.
+        pair traces with VMs.  Edge tuples are shared, not copied: every
+        VM's flips point into one ``(interval, active)`` table, and each
+        VM contributes one rise and one fall pair to ``by_interval``.
         """
         by_interval: List[List[Tuple[int, bool]]] = [
             [] for _ in range(INTERVALS_PER_DAY)
         ]
         by_vm: List[Tuple[Tuple[int, bool], ...]] = []
-        vm_count = 0
         for vm_id, trace in enumerate(traces):
-            vm_count += 1
+            intervals = trace.intervals
+            rise, fall = (vm_id, True), (vm_id, False)
             vm_edges: List[Tuple[int, bool]] = []
-            previous = False
-            for index, active in enumerate(trace.intervals):
-                if active != previous:
-                    previous = active
-                    vm_edges.append((index, active))
-                    by_interval[index].append((vm_id, active))
+            index = 0
+            try:
+                # Every trace starts idle, so flips alternate rise, fall;
+                # tuple.index finds each one in C.
+                while True:
+                    index = intervals.index(True, index)
+                    vm_edges.append(_RISES[index])
+                    by_interval[index].append(rise)
+                    index = intervals.index(False, index)
+                    vm_edges.append(_FALLS[index])
+                    by_interval[index].append(fall)
+            except ValueError:  # no further flip
+                pass
             by_vm.append(tuple(vm_edges))
-        return cls(vm_count, by_interval, by_vm)
+        return cls(len(by_vm), tuple(map(tuple, by_interval)), tuple(by_vm))
 
     @property
     def edge_count(self) -> int:

@@ -22,14 +22,21 @@ aggregate statistics the paper reports for its real traces (§5.1-5.2):
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.traces.model import DayType, UserDayTrace
 from repro.units import INTERVALS_PER_DAY
 
 _HOURS_PER_INTERVAL = 24.0 / INTERVALS_PER_DAY
+#: Hour of day at the start of each interval, ascending.
+_INTERVAL_HOURS = tuple(
+    index * _HOURS_PER_INTERVAL for index in range(INTERVALS_PER_DAY)
+)
+#: Slice source for writing runs of activity.
+_ONES = [1] * INTERVALS_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,10 @@ class BurstModel:
         return self.active_mean_intervals / total
 
     def sample_run(self, active: bool, rng: random.Random) -> int:
-        """Sample one run length (in intervals) for the given state."""
+        """Sample one run length (in intervals) for the given state.
+
+        The generator inlines this loop; tests compare against it.
+        """
         mean = self.active_mean_intervals if active else self.idle_mean_intervals
         # Geometric with support {1, 2, ...} and the requested mean.
         success = 1.0 / mean
@@ -148,7 +158,15 @@ class TraceGeneratorConfig:
 
 
 class SyntheticTraceGenerator:
-    """Generates :class:`UserDayTrace` objects from the diurnal model."""
+    """Generates :class:`UserDayTrace` objects from the diurnal model.
+
+    The generator is table-driven: the per-interval background start
+    probability is computed once per generator, and every run of
+    activity is written as one slice.  Every random draw is still made
+    one interval or one geometric trial at a time, in the historical
+    order, so a given seed yields the same traces as the per-interval
+    loop this replaced (``tests/test_traces_ensemble_golden.py``).
+    """
 
     def __init__(
         self,
@@ -157,6 +175,12 @@ class SyntheticTraceGenerator:
     ) -> None:
         self.config = config
         self._rng = rng if rng is not None else random.Random(0)
+        self._weekday_background = _background_table(
+            config, config.weekday_background_start_probability
+        )
+        self._weekend_background = _background_table(
+            config, config.weekend_background_start_probability
+        )
 
     # -- public API -----------------------------------------------------
 
@@ -183,9 +207,7 @@ class SyntheticTraceGenerator:
         rng = self._rng
         config = self.config
         bits = [0] * INTERVALS_PER_DAY
-        self._add_background(
-            bits, config.weekday_background_start_probability
-        )
+        self._add_background(bits, self._weekday_background)
         if rng.random() < config.weekday_absence_probability:
             return bits
 
@@ -195,7 +217,9 @@ class SyntheticTraceGenerator:
         departure = self._clamped_gauss(
             config.departure_mean_h, config.departure_std_h, arrival + 2.0, 23.5
         )
-        lunch_span = None
+        # Intervals [lunch_from, lunch_to) are away at lunch: those whose
+        # start hour h has lunch_start <= h < lunch_end.
+        lunch_from = lunch_to = INTERVALS_PER_DAY
         if rng.random() < config.lunch_probability:
             lunch_start = self._clamped_gauss(
                 config.lunch_start_mean_h, config.lunch_start_std_h, 11.0, 14.0
@@ -206,13 +230,14 @@ class SyntheticTraceGenerator:
                 0.25,
                 1.5,
             )
-            lunch_span = (lunch_start, min(lunch_start + lunch_length, departure))
+            lunch_end = min(lunch_start + lunch_length, departure)
+            lunch_from = bisect_left(_INTERVAL_HOURS, lunch_start)
+            lunch_to = bisect_left(_INTERVAL_HOURS, lunch_end)
 
         first = self._hour_to_interval(arrival)
         last = self._hour_to_interval(departure)
-        in_lunch = self._interval_predicate(lunch_span)
         self._fill_bursts(
-            bits, first, last, config.weekday_bursts, skip=in_lunch
+            bits, first, last, config.weekday_bursts, lunch_from, lunch_to
         )
         return bits
 
@@ -222,9 +247,7 @@ class SyntheticTraceGenerator:
         rng = self._rng
         config = self.config
         bits = [0] * INTERVALS_PER_DAY
-        self._add_background(
-            bits, config.weekend_background_start_probability
-        )
+        self._add_background(bits, self._weekend_background)
         if rng.random() >= config.weekend_session_probability:
             return bits
         sessions = rng.randint(1, config.weekend_max_sessions)
@@ -246,40 +269,65 @@ class SyntheticTraceGenerator:
 
     # -- shared machinery ---------------------------------------------------
 
-    def _fill_bursts(self, bits, first, last, bursts: BurstModel, skip=None):
-        """Fill ``bits[first..last]`` with an alternating burst process."""
-        rng = self._rng
+    def _fill_bursts(
+        self,
+        bits: List[int],
+        first: int,
+        last: int,
+        bursts: BurstModel,
+        skip_from: int = INTERVALS_PER_DAY,
+        skip_to: int = INTERVALS_PER_DAY,
+    ) -> None:
+        """Fill ``bits[first..last]`` with an alternating burst process,
+        leaving ``bits[skip_from:skip_to]`` untouched.
+
+        Run lengths are :meth:`BurstModel.sample_run`'s geometric draws,
+        inlined: one ``random()`` per trial, active run first.
+        """
+        random_ = self._rng.random
+        active_success = 1.0 / bursts.active_mean_intervals
+        idle_success = 1.0 / bursts.idle_mean_intervals
+        end = min(last, INTERVALS_PER_DAY - 1) + 1
         index = first
         # Sessions begin with activity: the user just sat down.
-        active = True
-        while index <= min(last, INTERVALS_PER_DAY - 1):
-            run = bursts.sample_run(active, rng)
-            for _ in range(run):
-                if index > min(last, INTERVALS_PER_DAY - 1):
-                    break
-                if active and not (skip is not None and skip(index)):
-                    bits[index] = 1
-                index += 1
-            active = not active
+        while index < end:
+            run = 1
+            while random_() > active_success:
+                run += 1
+            # Write the run [index, stop) around the skipped span.
+            stop = min(index + run, end)
+            head = min(stop, skip_from)
+            if index < head:
+                bits[index:head] = _ONES[index:head]
+            tail = max(index, skip_to)
+            if tail < stop:
+                bits[tail:stop] = _ONES[tail:stop]
+            index += run
+            if index >= end:
+                break
+            run = 1
+            while random_() > idle_success:
+                run += 1
+            index += run
 
-    def _add_background(self, bits, start_probability: float) -> None:
-        """Overlay sparse background activity bursts on the whole day,
-        modulated by the hour-of-day weight profile."""
-        if start_probability <= 0.0:
+    def _add_background(
+        self, bits: List[int], table: Optional[Tuple[float, ...]]
+    ) -> None:
+        """Overlay sparse background activity bursts on the whole day;
+        ``table[i]`` is the probability that interval ``i`` starts one
+        (``None`` when the start probability is zero: no draws)."""
+        if table is None:
             return
-        rng = self._rng
-        mean = self.config.background_burst_mean_intervals
+        random_ = self._rng.random
+        success = 1.0 / self.config.background_burst_mean_intervals
         index = 0
         while index < INTERVALS_PER_DAY:
-            hour = index * _HOURS_PER_INTERVAL
-            weighted = start_probability * self.config.background_weight(hour)
-            if rng.random() < weighted:
+            if random_() < table[index]:
                 run = 1
-                while rng.random() > 1.0 / mean:
+                while random_() > success:
                     run += 1
-                for offset in range(run):
-                    if index + offset < INTERVALS_PER_DAY:
-                        bits[index + offset] = 1
+                stop = min(index + run, INTERVALS_PER_DAY)
+                bits[index:stop] = _ONES[index:stop]
                 index += run
             else:
                 index += 1
@@ -292,15 +340,15 @@ class SyntheticTraceGenerator:
     def _hour_to_interval(hour: float) -> int:
         return min(int(hour / _HOURS_PER_INTERVAL), INTERVALS_PER_DAY - 1)
 
-    @staticmethod
-    def _interval_predicate(span_hours):
-        """Return ``predicate(interval) -> bool`` for an (start, end) span."""
-        if span_hours is None:
-            return None
-        start, end = span_hours
 
-        def in_span(interval: int) -> bool:
-            hour = interval * _HOURS_PER_INTERVAL
-            return start <= hour < end
-
-        return in_span
+def _background_table(
+    config: TraceGeneratorConfig, start_probability: float
+) -> Optional[Tuple[float, ...]]:
+    """Per-interval background start probability, hour-weighted; the
+    same product the per-interval loop computed, so the same floats."""
+    if start_probability <= 0.0:
+        return None
+    return tuple(
+        start_probability * config.background_weight(hour)
+        for hour in _INTERVAL_HOURS
+    )

@@ -94,13 +94,16 @@ class UserDayTrace:
         cls, user_id: int, day_type: DayType, bits: Sequence[int]
     ) -> "UserDayTrace":
         """Build from a sequence of 0/1 integers (one per interval)."""
-        for bit in bits:
-            if bit not in (0, 1):
-                raise TraceFormatError(f"interval bits must be 0 or 1, got {bit!r}")
+        if not set(bits) <= {0, 1}:
+            for bit in bits:
+                if bit not in (0, 1):
+                    raise TraceFormatError(
+                        f"interval bits must be 0 or 1, got {bit!r}"
+                    )
         return cls(
             user_id=user_id,
             day_type=day_type,
-            intervals=tuple(bool(bit) for bit in bits),
+            intervals=tuple(map(bool, bits)),
         )
 
     @classmethod

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import TraceFormatError
+from repro.traces.edges import ActivityEdgeSchedule
 from repro.traces.generator import SyntheticTraceGenerator, TraceGeneratorConfig
 from repro.traces.model import DayType, UserDayTrace
 from repro.units import INTERVALS_PER_DAY
@@ -42,6 +44,18 @@ class TraceEnsemble:
 
     def __getitem__(self, index: int) -> UserDayTrace:
         return self.traces[index]
+
+    @cached_property
+    def edges(self) -> ActivityEdgeSchedule:
+        """The ensemble compiled to activity flips, once per ensemble;
+        every simulation of the ensemble shares it (it is immutable)."""
+        return ActivityEdgeSchedule.compile(self.traces)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The compiled edges are a cache: pickles carry the traces only.
+        state = dict(self.__dict__)
+        state.pop("edges", None)
+        return state
 
     def concurrent_active(self) -> List[int]:
         """Number of simultaneously active users for each interval."""
