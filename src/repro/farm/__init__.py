@@ -9,7 +9,7 @@ evaluation sweeps out over worker processes with deterministic results.
 """
 
 from repro.farm.config import FarmConfig
-from repro.farm.metrics import FarmResult, DelaySample
+from repro.farm.metrics import DelayLog, DelaySample, FarmResult
 from repro.farm.planes import (
     SURCHARGE_STATE,
     AccountingLedger,
@@ -53,6 +53,7 @@ __all__ = [
     "FarmConfig",
     "FarmResult",
     "DelaySample",
+    "DelayLog",
     "DecisionPlane",
     "ManagerDecisionPlane",
     "AccountingLedger",

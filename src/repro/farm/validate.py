@@ -121,7 +121,8 @@ def _check_metrics(simulation: FarmSimulation) -> None:
             f"expected {INTERVALS_PER_DAY} metric samples, got "
             f"{len(result.sample_times_s)}"
         )
-    if any(sample.delay_s < 0.0 for sample in result.delays):
+    delays = result.delays.delay_s
+    if delays and min(delays) < 0.0:
         raise SimulationError("negative transition delay recorded")
     host_count = (
         simulation.config.home_hosts + simulation.config.consolidation_hosts
@@ -163,16 +164,17 @@ def validate_zoned_result(zoned: "ZonedFarmResult") -> None:
             f"aggregate has {len(aggregate.delays)} delay samples; the "
             f"shards recorded {expected}"
         )
+    vm_ids = aggregate.delays.vm_id
     start = 0
     for zone, result in shards:
         stop = start + len(result.delays)
         zone_vms = set(partition.zone_vm_ids(zone))
-        for sample in aggregate.delays[start:stop]:
-            if sample.vm_id not in zone_vms:
-                raise SimulationError(
-                    f"delay sample for VM {sample.vm_id} is attributed to "
-                    f"zone {zone}, which does not own it"
-                )
+        foreign = set(vm_ids[start:stop]) - zone_vms
+        if foreign:
+            raise SimulationError(
+                f"delay sample for VM {min(foreign)} is attributed to "
+                f"zone {zone}, which does not own it"
+            )
         start = stop
     parts = zoned.zone_managed_joules()
     if sum(parts) != aggregate.energy.managed_joules:

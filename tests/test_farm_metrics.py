@@ -10,7 +10,7 @@ from repro.deploy.messages import (
 )
 from repro.energy import EnergyReport
 from repro.errors import ConfigError
-from repro.farm.metrics import DelaySample, FarmResult
+from repro.farm.metrics import DelayLog, DelaySample, FarmResult
 
 
 def make_result(**kwargs):
@@ -49,10 +49,10 @@ class TestFarmResultDerived:
 
     def test_zero_delay_fraction_counts_exact_zeros(self):
         result = make_result()
-        result.delays = [
+        result.delays = DelayLog([
             DelaySample(0.0, 1, 0.0, "already_full"),
             DelaySample(1.0, 2, 3.7, "convert_in_place"),
-        ]
+        ])
         assert result.zero_delay_fraction() == pytest.approx(0.5)
         assert result.delay_values() == [0.0, 3.7]
 

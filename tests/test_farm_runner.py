@@ -1,11 +1,13 @@
 """The parallel sweep runner: determinism, caching, instrumentation."""
 
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
-from repro.core import FULL_TO_PARTIAL, ONLY_PARTIAL
-from repro.errors import ConfigError
+from repro.core import DEFAULT, FULL_TO_PARTIAL, ONLY_PARTIAL
+from repro.core.strategies import GreedyStrategy
+from repro.errors import ConfigError, SimulationError
 from repro.farm import (
     FarmConfig,
     RunSpec,
@@ -343,3 +345,60 @@ class TestValidation:
         runner = SweepRunner()
         assert runner.run([]) == []
         assert runner.last_summary.runs == 0
+
+
+class _LeakingPlanner:
+    """Wraps a planner; its first pass books 1 MiB on a consolidation
+    host that no VM holds, a drift no real planner produces."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.corrupted = False
+
+    def plan(self, cluster, compact_consolidation=True):
+        if not self.corrupted:
+            cluster.consolidation_hosts[0]._used_mib += 1.0
+            self.corrupted = True
+        return self.inner.plan(
+            cluster, compact_consolidation=compact_consolidation
+        )
+
+
+@dataclass(frozen=True)
+class _CorruptingStrategy(GreedyStrategy):
+    """Default's planner behind a memory-accounting corruption."""
+
+    def build_planner(self, *args, **kwargs):
+        return _LeakingPlanner(super().build_planner(*args, **kwargs))
+
+
+class TestRunsAreValidated:
+    """Every run is checked with ``validate_simulation`` where it runs,
+    before its result is shipped back."""
+
+    def specs(self):
+        strategy = _CorruptingStrategy(DEFAULT)
+        config = small_config()
+        return [
+            RunSpec(config, strategy, DayType.WEEKDAY, seed, label="zone-1")
+            for seed in (5, 6)
+        ]
+
+    @pytest.mark.parametrize(
+        "runner",
+        [SweepRunner(), SweepRunner(backend="process", workers=2)],
+        ids=["serial", "process"],
+    )
+    def test_corrupted_run_raises_naming_the_spec(self, runner):
+        with pytest.raises(SimulationError) as caught:
+            runner.run(self.specs())
+        message = str(caught.value)
+        assert "memory accounting drifted" in message
+        assert "policy Default" in message
+        assert "seed 5" in message or "seed 6" in message
+        assert "zone-1" in message
+        assert "4 home + 2 consolidation hosts x 4 VMs" in message
+
+    def test_clean_runs_pass(self):
+        spec = RunSpec(small_config(), DEFAULT, DayType.WEEKDAY, 5)
+        assert execute_run(spec).result.energy is not None

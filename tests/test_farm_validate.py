@@ -61,3 +61,14 @@ class TestValidator:
         )
         with pytest.raises(SimulationError, match="negative"):
             validate_simulation(finished_simulation)
+
+    def test_catches_negative_delay_among_valid_ones(
+        self, finished_simulation
+    ):
+        from repro.farm.metrics import DelaySample
+
+        delays = finished_simulation.result.delays
+        for delay_s in (0.0, 2.5, -1e-9, 0.0):
+            delays.append(DelaySample(1.0, 0, delay_s, "already_full"))
+        with pytest.raises(SimulationError, match="negative"):
+            validate_simulation(finished_simulation)

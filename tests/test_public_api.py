@@ -54,3 +54,12 @@ class TestImports:
                      "CompressionError"):
             exc = getattr(errors, name)
             assert issubclass(exc, errors.ReproError)
+
+    def test_farm_exports_the_delay_log(self):
+        from repro import farm
+
+        for symbol in ("DelayLog", "DelaySample", "FarmResult"):
+            assert symbol in farm.__all__
+        result = farm.FarmResult("Default", "weekday", 0, 86400.0)
+        assert isinstance(result.delays, farm.DelayLog)
+        assert result.delays == []
