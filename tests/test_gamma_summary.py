@@ -128,7 +128,10 @@ def farms(draw):
             vm_id += 1
             if partial:
                 vm.become_partial(host.host_id, float(min(working_set, memory)))
-            host.attach(vm)
+            # Six full 1 GiB residents overflow a 5 GiB host: drop what
+            # does not fit, as no real placement would put it there.
+            if host.can_fit(vm.resident_mib):
+                host.attach(vm)
         if not residents and draw(st.booleans()):
             host.power_state = PowerState.SLEEPING
     for host in cluster.home_hosts:
