@@ -44,7 +44,6 @@ from repro.errors import ConfigError, SimulationError
 from repro.farm.config import FarmConfig
 from repro.farm.metrics import FarmResult
 from repro.farm.simulation import FarmSimulation
-from repro.farm.validate import validate_simulation
 from repro.simulator.randomness import RngStreams
 from repro.traces.model import DayType
 from repro.traces.sampler import TraceEnsemble, generate_ensemble
@@ -212,27 +211,25 @@ def execute_run(spec: RunSpec) -> RunOutcome:
 
     Behaviourally identical to
     :func:`repro.farm.simulation.simulate_day` — same trace seed
-    derivation, same simulation — plus ensemble caching, timing, and
-    :func:`~repro.farm.validate.validate_simulation` on the finished
-    run, so a run that breaks a post-run invariant raises
-    :class:`~repro.errors.SimulationError` in the worker instead of
-    shipping a result back.
+    derivation, same simulation — plus ensemble caching and timing.  A
+    run that breaks a post-run invariant (every run validates itself)
+    raises :class:`~repro.errors.SimulationError` in the worker, naming
+    the spec, instead of shipping a result back.
     """
     started = time.perf_counter()  # repro: noqa[DET103] -- instrumentation
     ensemble, was_cached = _ensemble_for(spec)
     simulation = FarmSimulation(
         spec.config, spec.policy, ensemble, seed=spec.seed
     )
-    result = simulation.run()
     try:
-        validate_simulation(simulation)
+        result = simulation.run()
     except SimulationError as error:
         config = spec.config
         raise SimulationError(
             f"run {spec.label or '<unlabelled>'} (policy "
             f"{spec.policy_name}, seed {spec.seed}, {config.home_hosts} "
             f"home + {config.consolidation_hosts} consolidation hosts x "
-            f"{config.vms_per_host} VMs) failed validation: {error}"
+            f"{config.vms_per_host} VMs) failed: {error}"
         ) from error
     elapsed = time.perf_counter() - started  # repro: noqa[DET103]
     return RunOutcome(

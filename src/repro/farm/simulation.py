@@ -133,7 +133,7 @@ class FarmSimulation:
         #: Sleep-entry times for the sleep-duration histogram (tracing only).
         self._sleep_since: Dict[int, float] = {}
 
-        self.manager = ClusterManager(
+        manager = ClusterManager(
             cluster=self.cluster,
             policy=strategy,
             working_sets=config.working_sets,
@@ -146,7 +146,7 @@ class FarmSimulation:
         # The decision plane: every planner query the engine makes goes
         # through this seam (DESIGN.md §16).  The reference plane is a
         # transparent manager facade, so draw order is unchanged.
-        self.decisions: DecisionPlane = ManagerDecisionPlane(self.manager)
+        self.decisions: DecisionPlane = ManagerDecisionPlane(manager)
 
         # All VMs share one interval clock: quiet VMs' idle streaks grow
         # with the clock instead of through per-VM per-interval updates.
@@ -171,8 +171,7 @@ class FarmSimulation:
         # accountant/tracker, so meter creation order — and with it the
         # float summation order of total_joules — is unchanged.
         self.ledger: AccountingLedger = FarmAccountingLedger(self.result)
-        # Aliases for external readers (validators, scenario tests).
-        self.accountant = self.ledger.accountant
+        # Alias for external readers (the validator, scenario tests).
         self.tracker = self.ledger.tracker
 
         self._jitter_rng = self.streams.get("activation-jitter")
@@ -204,7 +203,6 @@ class FarmSimulation:
         # that re-settles leaves its older entries in the heap; expiry
         # only trusts an entry whose mark is still current (<= now).
         self._settle_heap: List[tuple] = []
-        self._episode_open: Set[int] = set()
         self._transition_done: Dict[int, float] = {}
         self._wake_after_suspend: Set[int] = set()
         self._suspend_pending: Set[int] = set()
@@ -216,9 +214,10 @@ class FarmSimulation:
         #: origin_home_id -> ids of VMs that are FULL away from their
         #: origin home (the _return_full_vms_home candidates), plus the
         #: ids of all currently PARTIAL VMs (the working-set growth
-        #: candidates).  Maintained by _sync_vm_index at every residency
-        #: or placement mutation; iterated sorted, so behaviour matches
-        #: the full ascending-vm_id rescans these replace.
+        #: candidates, and the open consolidation episodes closed at the
+        #: horizon).  Written only by _move; iterated sorted where order
+        #: matters, so behaviour matches the full ascending-vm_id rescans
+        #: these replace.
         self._away_full: Dict[int, Set[int]] = {}
         self._partial_vms: Set[int] = set()
         self._debug_indexes = bool(os.environ.get("REPRO_DEBUG_INDEXES"))
@@ -231,6 +230,7 @@ class FarmSimulation:
         # mirror HostPowerProfile.powered_watts exactly when the
         # per-active-VM surcharge is zero (the default).
         self._all_hosts = self.cluster.hosts
+        self._hosts_by_id = {host.host_id: host for host in self._all_hosts}
         profile = config.host_power
         self._host_power = profile
         self._power_idle_w = profile.idle_w
@@ -255,7 +255,12 @@ class FarmSimulation:
     # ------------------------------------------------------------------
 
     def run(self) -> FarmResult:
-        """Execute the full day and return the collected metrics."""
+        """Execute the full day, check its post-run invariants, and return
+        the collected metrics.
+
+        Raises :class:`~repro.errors.SimulationError` when the finished
+        day breaks an invariant (see :mod:`repro.farm.validate`).
+        """
         if self._finished:
             raise SimulationError("this simulation has already run")
         # The event loop allocates heavily but creates no reference
@@ -279,6 +284,10 @@ class FarmSimulation:
         finally:
             if collecting:
                 gc.enable()
+        # Imported here: repro.farm.validate imports this module.
+        from repro.farm.validate import validate_simulation
+
+        validate_simulation(self)
         return self.result
 
     def _run_day(self) -> None:
@@ -400,28 +409,76 @@ class FarmSimulation:
                 active_count -= 1
         self._active_count = active_count
 
-    def _sync_vm_index(self, vm: VirtualMachine) -> None:
-        """Refresh one VM's membership in the placement indexes.
+    def _move(
+        self,
+        vm: VirtualMachine,
+        destination: Host,
+        working_set_mib: Optional[float] = None,
+    ) -> bool:
+        """Place ``vm`` on ``destination``; the engine's one placement writer.
 
-        Must be called after every residency or placement mutation; the
-        debug mode (``REPRO_DEBUG_INDEXES=1``) cross-checks the indexes
-        against full rescans at every interval boundary.
+        The VM ends PARTIAL holding ``working_set_mib`` when one is given
+        (a partial migration, or a relocation between consolidation
+        hosts), and FULL otherwise: a live migration, a reintegration at
+        its home, a re-homing, or — when ``destination`` is the host it
+        runs on — a conversion in place.  Host membership and memory, the
+        VM's residency, the partial-VM and away-from-home indexes, and
+        the served images (a partial VM's image is served by its
+        ``home_id``) all change here and nowhere else in the engine; the
+        debug mode (``REPRO_DEBUG_INDEXES=1``) cross-checks them against
+        full rescans at every interval boundary.
+
+        Wire time, RNG draws, trace events and counters stay with the
+        caller, whose order fixes the engine's output.  Returns whether
+        the VM left PARTIAL, i.e. whether its consolidation episode ends.
         """
         vm_id = vm.vm_id
-        if vm.residency is Residency.PARTIAL:
-            self._partial_vms.add(vm_id)
+        hosts = self._hosts_by_id
+        was_partial = vm.residency is Residency.PARTIAL
+        now_partial = working_set_mib is not None
+        home_id = vm.home_id
+        source = hosts[vm.host_id]
+        if destination is source:
+            # Growing the VM where it sits keeps the host's VM order and
+            # memory sums; a detach/attach pair would reorder both.
+            source.convert_vm_full_in_place(vm_id)
         else:
-            self._partial_vms.discard(vm_id)
-        bucket = self._away_full.get(vm.origin_home_id)
-        if vm.residency is Residency.FULL and vm.host_id != vm.origin_home_id:
+            source.detach(vm_id)
+            destination_id = destination.host_id
+            if now_partial:
+                if was_partial:
+                    vm.relocate_partial(destination_id)
+                else:
+                    vm.become_partial(destination_id, working_set_mib)
+            elif not was_partial:
+                vm.full_migrate(destination_id)
+            elif destination_id == home_id:
+                vm.reintegrate()
+            else:
+                vm.become_full_at(destination_id)
+            destination.attach(vm)
+        if now_partial != was_partial:
+            # Turning partial keeps the home, which serves the image.
+            home = hosts[home_id]
+            if now_partial:
+                self._partial_vms.add(vm_id)
+                home.add_served_image(vm_id)
+            else:
+                self._partial_vms.discard(vm_id)
+                home.remove_served_image(vm_id)
+        origin = vm.origin_home_id
+        bucket = self._away_full.get(origin)
+        if not now_partial and vm.host_id != origin:
             if bucket is None:
-                bucket = self._away_full[vm.origin_home_id] = set()
+                bucket = self._away_full[origin] = set()
             bucket.add(vm_id)
         elif bucket is not None:
             bucket.discard(vm_id)
+        return was_partial and not now_partial
 
     def _verify_vm_indexes(self) -> None:
-        """Debug cross-check: indexes must equal a from-scratch rescan."""
+        """Debug cross-check: indexes and served images must equal a
+        from-scratch rescan."""
         partial = {
             vm_id
             for vm_id, vm in self.vms.items()
@@ -431,6 +488,18 @@ class FarmSimulation:
             f"partial index drifted: {sorted(self._partial_vms)} vs "
             f"rescanned {sorted(partial)}"
         )
+        homed: Dict[int, Set[int]] = {
+            host.host_id: set() for host in self.cluster
+        }
+        for vm in self.vms.values():
+            if vm.residency is Residency.PARTIAL:
+                homed[vm.home_id].add(vm.vm_id)
+        for host in self.cluster:
+            served = host.served_image_ids
+            assert served == homed[host.host_id], (
+                f"host {host.host_id} serves {sorted(served)}; its partial "
+                f"VMs are {sorted(homed[host.host_id])}"
+            )
         away: Dict[int, Set[int]] = {}
         for vm in self.vms.values():
             if (
@@ -579,7 +648,6 @@ class FarmSimulation:
         self, vm: VirtualMachine, now: float, fault_exempt: bool = False
     ) -> float:
         host = self.cluster.host(vm.host_id)
-        old_home = self.cluster.host(vm.home_id)
         pull_mib = vm.memory_mib - (vm.working_set_mib or 0.0)
         fraction = None if fault_exempt else self._injector.migration_abort()
         if fraction is not None:
@@ -597,9 +665,7 @@ class FarmSimulation:
             return self._handle_wake_home_return_all(
                 vm, now, fault_exempt=True
             )
-        host.convert_vm_full_in_place(vm.vm_id)
-        self._sync_vm_index(vm)
-        old_home.remove_served_image(vm.vm_id)
+        left_partial = self._move(vm, host)
         # The remaining image streams in over the consolidation host's
         # NIC while the VM keeps executing on its resident working set,
         # so the transfer occupies the NIC without stalling the user;
@@ -615,7 +681,8 @@ class FarmSimulation:
             "convert_in_place", vm.vm_id, vm.home_id, host.host_id,
             pull_mib, start, end,
         )
-        self._close_episode(vm.vm_id)
+        if left_partial:
+            self._close_episode(vm.vm_id)
         self._settles_at[vm.vm_id] = end
         heappush(self._settle_heap, (end, vm.vm_id))
         self.ledger.counters.conversions_in_place += 1
@@ -630,7 +697,6 @@ class FarmSimulation:
         fault_exempt: bool = False,
     ) -> float:
         source = self.cluster.host(vm.host_id)
-        old_home = self.cluster.host(vm.home_id)
         destination = self.cluster.host(destination_id)
         fraction = None if fault_exempt else self._injector.migration_abort()
         if fraction is not None:
@@ -647,11 +713,7 @@ class FarmSimulation:
             return self._handle_wake_home_return_all(
                 vm, now, fault_exempt=True
             )
-        source.detach(vm.vm_id)
-        vm.become_full_at(destination_id)
-        destination.attach(vm)
-        self._sync_vm_index(vm)
-        old_home.remove_served_image(vm.vm_id)
+        left_partial = self._move(vm, destination)
         start, end = self.scheduler.reserve_one(
             ("nic", source.host_id),
             now,
@@ -664,7 +726,8 @@ class FarmSimulation:
             "rehome", vm.vm_id, source.host_id, destination_id,
             vm.memory_mib, start, end,
         )
-        self._close_episode(vm.vm_id)
+        if left_partial:
+            self._close_episode(vm.vm_id)
         self._settles_at[vm.vm_id] = end
         heappush(self._settle_heap, (end, vm.vm_id))
         self.ledger.counters.rehomings += 1
@@ -752,18 +815,15 @@ class FarmSimulation:
                 occupancy_s=reintegration_occupancy_s,
                 not_before=settles.get(vm_id, 0.0),
             )
-            source.detach(vm_id)
-            vm.reintegrate()
-            home.attach(vm)
-            self._sync_vm_index(vm)
-            home.remove_served_image(vm_id)
+            left_partial = self._move(vm, home)
             reintegration_mib = sample_reintegration_mib(traffic_rng)
             traffic_add(TrafficCategory.REINTEGRATION, reintegration_mib)
             self._trace_migration(
                 "reintegration", vm_id, source.host_id, home.host_id,
                 reintegration_mib, start, end,
             )
-            self._close_episode(vm_id)
+            if left_partial:
+                self._close_episode(vm_id)
             settles[vm_id] = end
             heappush(settle_heap, (end, vm_id))
             counters.reintegrations += 1
@@ -857,10 +917,7 @@ class FarmSimulation:
                 occupancy_s=full_occupancy_s,
                 not_before=settles.get(vm_id, 0.0),
             )
-            source.detach(vm_id)
-            vm.full_migrate(home_id)
-            home.attach(vm)
-            self._sync_vm_index(vm)
+            self._move(vm, home)
             traffic_add(TrafficCategory.FULL_MIGRATION, vm.memory_mib)
             self._trace_migration(
                 "return_home", vm_id, source.host_id, home_id,
@@ -913,10 +970,7 @@ class FarmSimulation:
                 self._settles_at.get(vm.vm_id, 0.0), ready
             ),
         )
-        consolidation.detach(vm.vm_id)
-        vm.full_migrate(home.host_id)
-        home.attach(vm)
-        self._sync_vm_index(vm)
+        self._move(vm, home)
         self.ledger.traffic.add(TrafficCategory.FULL_MIGRATION, vm.memory_mib)
         self._trace_migration(
             "exchange_full", vm.vm_id, consolidation.host_id, home.host_id,
@@ -954,18 +1008,13 @@ class FarmSimulation:
                 occupancy_s=costs.partial_occupancy_s,
                 not_before=end_full,
             )
-            home.detach(vm.vm_id)
-            vm.become_partial(consolidation.host_id, plan.working_set_mib)
-            consolidation.attach(vm)
-            self._sync_vm_index(vm)
-            home.add_served_image(vm.vm_id)
+            self._move(vm, consolidation, plan.working_set_mib)
             partial_mib = self._record_partial_traffic()
             self._trace_migration(
                 "exchange_partial", vm.vm_id, home.host_id,
                 consolidation.host_id, partial_mib,
                 start_partial, end_partial,
             )
-            self._episode_open.add(vm.vm_id)
             self._settles_at[vm.vm_id] = end_partial
             heappush(self._settle_heap, (end_partial, vm.vm_id))
             self.ledger.counters.partial_migrations += 1
@@ -1038,10 +1087,7 @@ class FarmSimulation:
                     occupancy_s=relocation_occupancy_s,
                     not_before=settles.get(vm_id, 0.0),
                 )
-                source.detach(vm_id)
-                vm.relocate_partial(destination.host_id)
-                destination.attach(vm)
-                self._sync_vm_index(vm)
+                self._move(vm, destination, vm.working_set_mib)
                 # Only the descriptor and resident pages cross the wire;
                 # the memory image stays at the home's memory server.
                 relocation_mib = (
@@ -1064,10 +1110,7 @@ class FarmSimulation:
                     occupancy_s=full_occupancy_s,
                     not_before=settles.get(vm_id, 0.0),
                 )
-                source.detach(vm_id)
-                vm.full_migrate(destination.host_id)
-                destination.attach(vm)
-                self._sync_vm_index(vm)
+                self._move(vm, destination)
                 self.ledger.traffic.add(
                     TrafficCategory.FULL_MIGRATION, vm.memory_mib
                 )
@@ -1143,19 +1186,12 @@ class FarmSimulation:
                     partial_migration_s,
                     occupancy_s=partial_occupancy_s,
                 )
-                source.detach(vm_id)
-                vm.become_partial(
-                    destination.host_id, migration.working_set_mib
-                )
-                destination.attach(vm)
-                self._sync_vm_index(vm)
-                source.add_served_image(vm_id)
+                self._move(vm, destination, migration.working_set_mib)
                 partial_mib = self._record_partial_traffic()
                 self._trace_migration(
                     "vacate_partial", vm_id, source_id,
                     destination.host_id, partial_mib, start, end,
                 )
-                self._episode_open.add(vm_id)
                 counters.partial_migrations += 1
             else:
                 start, end = reserve_one(
@@ -1164,10 +1200,7 @@ class FarmSimulation:
                     full_migration_s,
                     occupancy_s=full_occupancy_s,
                 )
-                source.detach(vm_id)
-                vm.full_migrate(destination.host_id)
-                destination.attach(vm)
-                self._sync_vm_index(vm)
+                self._move(vm, destination)
                 self.ledger.traffic.add(
                     TrafficCategory.FULL_MIGRATION, vm.memory_mib
                 )
@@ -1204,28 +1237,26 @@ class FarmSimulation:
         retry traffic lands in the same ledger category (real bytes on
         the same wire) and is additionally tracked per-fault.
         """
-        if vm_id in self._episode_open:
-            self._episode_open.discard(vm_id)
-            demand_mib = self.config.costs.sample_on_demand_mib(
-                self._traffic_rng
+        demand_mib = self.config.costs.sample_on_demand_mib(
+            self._traffic_rng
+        )
+        self.ledger.record_on_demand(demand_mib)
+        if self.tracer.enabled:
+            self.tracer.observe(
+                "pages_fetched", demand_mib * KIB_PER_MIB / PAGE_SIZE_KIB
             )
-            self.ledger.record_on_demand(demand_mib)
-            if self.tracer.enabled:
-                self.tracer.observe(
-                    "pages_fetched", demand_mib * KIB_PER_MIB / PAGE_SIZE_KIB
-                )
-            timeouts = self._injector.page_timeouts()
-            if timeouts:
-                retry_mib = timeouts * self.fault_profile.page_retry_mib
-                self.ledger.traffic.add(
-                    TrafficCategory.ON_DEMAND_PAGES, retry_mib
-                )
-                self.faults.page_fetch_timeouts += timeouts
-                self.faults.page_retry_traffic_mib += retry_mib
-                self._trace_fault(
-                    "fault.page_retry", vm=vm_id,
-                    timeouts=timeouts, retry_mib=retry_mib,
-                )
+        timeouts = self._injector.page_timeouts()
+        if timeouts:
+            retry_mib = timeouts * self.fault_profile.page_retry_mib
+            self.ledger.traffic.add(
+                TrafficCategory.ON_DEMAND_PAGES, retry_mib
+            )
+            self.faults.page_fetch_timeouts += timeouts
+            self.faults.page_retry_traffic_mib += retry_mib
+            self._trace_fault(
+                "fault.page_retry", vm=vm_id,
+                timeouts=timeouts, retry_mib=retry_mib,
+            )
 
     def _charge_aborted_attempt(
         self,
@@ -1652,7 +1683,10 @@ class FarmSimulation:
     def _finalize(self) -> None:
         self._flush_power()
         horizon = SECONDS_PER_DAY
-        for vm_id in list(self._episode_open):
+        # Episodes still open at the horizon: the VMs that are still
+        # partial, in the set's own order (its add/discard history is
+        # the episodes' opening and closing order).
+        for vm_id in list(self._partial_vms):
             self._close_episode(vm_id)
         self.ledger.finish(horizon)
         managed = self.ledger.total_joules()

@@ -54,11 +54,8 @@ class TestPlaneInstallation:
         )
         sim = FarmSimulation(config, "Default", ensemble, seed=3)
         assert isinstance(sim.decisions, ManagerDecisionPlane)
-        assert sim.decisions.manager is sim.manager
         assert isinstance(sim.ledger, FarmAccountingLedger)
-        # The pre-split attribute names remain live aliases into the
-        # ledger, so older instrumentation keeps working.
-        assert sim.accountant is sim.ledger.accountant
+        # The validator reads the state tracker through this alias.
         assert sim.tracker is sim.ledger.tracker
         assert sim.faults is sim.ledger.faults
 

@@ -227,7 +227,7 @@ class TestEnergyCrossChecks:
             high = low + powered_s * profile.per_vm_w * (
                 simulation.config.capacity_mib / 4096.0
             )
-            measured = simulation.accountant.energy_joules(host.host_id)
+            measured = simulation.ledger.accountant.energy_joules(host.host_id)
             assert low - 1.0 <= measured <= high + 1.0
 
     def test_managed_energy_below_baseline_for_mostly_idle_day(self):

@@ -17,6 +17,7 @@ from repro.core.placement import _ShadowCapacity
 from repro.core.plan import MigrationMode, PlannedMigration
 from repro.errors import ConfigError
 from repro.farm import FarmConfig, FarmSimulation
+from repro.faults import FaultProfile
 from repro.migration.traffic import TrafficLedger
 from repro.obs.tracer import RecordingTracer
 from repro.simulator.engine import Simulator
@@ -27,6 +28,23 @@ from repro.traces.sampler import generate_ensemble
 from repro.units import INTERVALS_PER_DAY
 from repro.vm import IntervalClock, LazyWorkingSet, VirtualMachine
 from repro.vm.state import Residency
+
+
+#: Per policy, the move counters its heavy-fault debug day must make
+#: nonzero; re-homing is NewHome's alone.
+DEBUG_MOVE_KINDS = {
+    "Default": ("conversions_in_place", "reintegrations"),
+    "OnlyPartial": ("reintegrations",),
+    "FulltoPartial": (
+        "conversions_in_place", "reintegrations", "partial_relocations",
+        "exchanges",
+    ),
+    "NewHome": (
+        "rehomings", "conversions_in_place", "reintegrations",
+        "partial_relocations", "exchanges",
+    ),
+    "GammaRobust@1": ("conversions_in_place", "reintegrations"),
+}
 
 
 def small_ensemble(users, seed=0):
@@ -241,13 +259,19 @@ class TestEdgeScheduleBattery:
             for index, active in enumerate(trace.intervals):
                 assert schedule.activity_at(vm_id, index) == active
 
-    def test_debug_index_mode_stays_clean(self, monkeypatch):
+    @pytest.mark.parametrize("policy", sorted(DEBUG_MOVE_KINDS))
+    def test_debug_index_mode_stays_clean(self, monkeypatch, policy):
         monkeypatch.setenv("REPRO_DEBUG_INDEXES", "1")
         config = FarmConfig(
-            home_hosts=3, consolidation_hosts=1, vms_per_host=3
+            home_hosts=8, consolidation_hosts=2, vms_per_host=10,
+            faults=FaultProfile.heavy(),
         )
-        simulation = FarmSimulation(
-            config, FULL_TO_PARTIAL, small_ensemble(9, seed=3), seed=1
+        ensemble = generate_ensemble(
+            config.total_vms, DayType.WEEKDAY, seed=1, config=config.traces
         )
+        simulation = FarmSimulation(config, policy, ensemble, seed=1)
         assert simulation._debug_indexes
-        simulation.run()  # verifies indexes at every interval boundary
+        # Verifies the indexes and served images at every interval.
+        counters = simulation.run().counters
+        for kind in DEBUG_MOVE_KINDS[policy]:
+            assert getattr(counters, kind) > 0, kind
